@@ -280,17 +280,26 @@ def percentile_ms(seconds: List[float], q: float) -> float:
     return float(np.percentile(np.asarray(seconds), q)) * 1e3
 
 
-def grouped_rate(ends, unit: int, start: float, group: int) -> float:
-    """Median over groups of ``group`` consecutive completions of units per second.
+def group_rates(ends, unit: int, start: float, group: int) -> np.ndarray:
+    """Units per second of each group of ``group`` consecutive completions.
 
     ``ends`` are completion times, each completion carrying ``unit`` units
-    of work; the first group is timed from ``start``.  The median keeps a
-    transient stall of the machine from deciding a whole run.
+    of work; the first group is timed from ``start``.
     """
     ends = np.sort(np.asarray(ends))
     marks = np.concatenate([[start], ends[group - 1::group]])
-    check(marks.shape[0] >= 4, f"timed window holds under 3 groups of {group}")
-    return float(np.median(group * unit / np.diff(marks)))
+    return group * unit / np.diff(marks)
+
+
+def grouped_rate(ends, unit: int, start: float, group: int) -> float:
+    """Median over groups of ``group`` consecutive completions of units per second.
+
+    The median keeps a transient stall of the machine from deciding a
+    whole run.
+    """
+    rates = group_rates(ends, unit, start, group)
+    check(rates.shape[0] >= 3, f"timed window holds under 3 groups of {group}")
+    return float(np.median(rates))
 
 
 def same_result(a, b) -> bool:

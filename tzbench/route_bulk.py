@@ -12,6 +12,8 @@ journal, whose latency follows the disk, not the program (it is part of
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import os
 import shutil
 import statistics
@@ -121,6 +123,11 @@ def run(*, seed, seconds, tracer, tiny, corrupt) -> Outcome:
         check(svc.version == 0, "swaps must end on version 0")
         v1.store.path_for(v1.key).unlink()  # before its pages are written back
         del v1, target  # the timed window holds only the served version
+        # Set-up's garbage and the heap malloc kept after freeing it stay
+        # out of the window's peak: without this, 2 of 10 runs peaked at
+        # 640-745 MB instead of ~550 MB, depending on when a collection ran.
+        gc.collect()
+        ctypes.CDLL(None).malloc_trim(0)
         reset_hwm(pid)
 
         # -- timed window: closed loop, one thread -----------------------
